@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/dslab-epfl/warr/internal/dom"
+	"github.com/dslab-epfl/warr/internal/htmlparse"
 	"github.com/dslab-epfl/warr/internal/layout"
 	"github.com/dslab-epfl/warr/internal/netsim"
 )
@@ -235,10 +236,12 @@ func resolveAgainst(base, ref string) string {
 // maxFrameDepth bounds iframe nesting.
 const maxFrameDepth = 5
 
-// buildFrame parses html into the frame (through the page-template
-// cache), runs its scripts, and loads child iframes.
+// buildFrame parses html into the frame, runs its scripts, and loads
+// child iframes. Every load parses the served HTML: a cached tree would
+// have to be cloned per load, and cloning measured no faster than
+// parsing.
 func (t *Tab) buildFrame(f *Frame, html, url string, depth int) {
-	f.doc = parsePage(html, url)
+	f.doc = htmlparse.Parse(html, url)
 	f.interp = newFrameInterp(f)
 
 	for _, o := range t.observers {

@@ -318,8 +318,7 @@ func TestLateCompletionAfterReapCreditsOnce(t *testing.T) {
 // edge the checksum exists for: a flipped byte inside a JSON string
 // still decodes as JSON, so only Verify keeps it out of the merge. The
 // handler must 400 (the worker's retry resends clean bytes), accept
-// the intact sealed message, and tolerate unsealed messages from
-// older workers.
+// the intact sealed message, and reject an unsealed one.
 func TestCompletionChecksumRejectsCorruption(t *testing.T) {
 	pool := NewPool(PoolOptions{})
 	srv := httptest.NewServer(pool.Handler())
@@ -367,7 +366,7 @@ func TestCompletionChecksumRejectsCorruption(t *testing.T) {
 	}
 	resp = post(unsealed)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Errorf("unsealed completion: %s, want 204 (older workers carry no checksum)", resp.Status)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unsealed completion: %s, want 400 (workers always seal)", resp.Status)
 	}
 }

@@ -467,7 +467,7 @@ func (p *Pool) grant(worker string) WireLease {
 		ID:             l.id,
 		Campaign:       run.spec.Campaign,
 		Mode:           run.spec.Mode,
-		Replayer:       wireReplayer(run.spec.Replayer),
+		Replayer:       run.spec.Replayer.Image(),
 		DisablePruning: run.spec.DisablePruning,
 		Parallelism:    run.spec.Parallelism,
 		Image:          sh.Image,

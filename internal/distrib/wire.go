@@ -120,7 +120,7 @@ type CompleteMsg struct {
 	// decodes as JSON — a flipped byte inside a string value — would
 	// otherwise merge garbage into the campaign; the checksum turns
 	// every corruption into a rejection the worker's retry recovers
-	// from. 0 means unsealed (accepted for mixed-version tolerance).
+	// from. Workers always seal; an unsealed report (0) is rejected.
 	Sum uint64 `json:"sum,omitempty"`
 }
 
@@ -138,12 +138,12 @@ func (m *CompleteMsg) Seal() error {
 	return nil
 }
 
-// Verify checks the integrity checksum of a received message. Unsealed
-// messages (Sum 0) pass.
+// Verify checks the integrity checksum of a received message.
+// Unsealed messages (Sum 0) fail.
 func (m CompleteMsg) Verify() bool {
 	sum := m.Sum
 	if sum == 0 {
-		return true
+		return false
 	}
 	m.Sum = 0
 	b, err := json.Marshal(m)
@@ -153,28 +153,6 @@ func (m CompleteMsg) Verify() bool {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64() == sum
-}
-
-// wireReplayer extracts the serializable subset of replayer options
-// for the lease. Hooked campaigns are never planned (PlanShards
-// refuses them), so nothing is lost.
-func wireReplayer(o replayer.Options) replayer.OptionsImage {
-	return replayer.OptionsImage{
-		Pacing:                    o.Pacing,
-		DisableRelaxation:         o.DisableRelaxation,
-		DisableCoordinateFallback: o.DisableCoordinateFallback,
-		Driver:                    o.Driver,
-	}
-}
-
-// unwireReplayer rebuilds worker-side replayer options from the lease.
-func unwireReplayer(o replayer.OptionsImage) replayer.Options {
-	return replayer.Options{
-		Pacing:                    o.Pacing,
-		DisableRelaxation:         o.DisableRelaxation,
-		DisableCoordinateFallback: o.DisableCoordinateFallback,
-		Driver:                    o.Driver,
-	}
 }
 
 // encodeOutcome renders one shard outcome as the engine's per-trace

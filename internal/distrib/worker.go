@@ -319,7 +319,7 @@ func (w *Worker) executor(l *WireLease) *campaign.Executor {
 		mode = browser.DeveloperMode
 	}
 	copts := weberr.CampaignOptions{
-		Replayer:       unwireReplayer(l.Replayer),
+		Replayer:       l.Replayer.Options(),
 		DisablePruning: l.DisablePruning,
 		Parallelism:    l.Parallelism,
 	}
@@ -338,7 +338,7 @@ func (w *Worker) executor(l *WireLease) *campaign.Executor {
 		// local execution, only the corpus-admission split may shift.
 		return campaign.New(newEnv, campaign.Options{
 			Parallelism:    l.Parallelism,
-			Replayer:       unwireReplayer(l.Replayer),
+			Replayer:       l.Replayer.Options(),
 			DisablePruning: true,
 			Inspect: func(job campaign.Job, res *replayer.Result, tab *browser.Tab) error {
 				if res.Failed > 0 || res.Cancelled {

@@ -1,6 +1,6 @@
 // Package fnv1a holds the FNV-1a hashing primitives shared by the
 // repository's incremental digests and bounded caches (campaign prefix
-// digests, the script parse cache, the browser page-template cache).
+// digests, the admission filter of internal/gencache).
 // One copy of the constants and byte loop keeps the call sites in sync.
 package fnv1a
 

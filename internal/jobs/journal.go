@@ -76,18 +76,12 @@ func journalable(spec Spec) bool {
 
 // imageSpec converts a Spec to its journal form.
 func imageSpec(spec Spec) SpecImage {
-	o := spec.Replayer
 	return SpecImage{
-		Kind:      spec.Kind.String(),
-		Trace:     spec.Trace,
-		TraceName: spec.TraceName,
-		Mode:      spec.Mode,
-		Replayer: replayer.OptionsImage{
-			Pacing:                    o.Pacing,
-			DisableRelaxation:         o.DisableRelaxation,
-			DisableCoordinateFallback: o.DisableCoordinateFallback,
-			Driver:                    o.Driver,
-		},
+		Kind:                 spec.Kind.String(),
+		Trace:                spec.Trace,
+		TraceName:            spec.TraceName,
+		Mode:                 spec.Mode,
+		Replayer:             spec.Replayer.Image(),
 		Replicas:             spec.Replicas,
 		Parallelism:          spec.Parallelism,
 		MaxTraces:            spec.MaxTraces,
@@ -109,16 +103,11 @@ func imageSpec(spec Spec) SpecImage {
 // Spec rebuilds the runnable spec from its journal form.
 func (si SpecImage) Spec() Spec {
 	return Spec{
-		Kind:      ParseKind(si.Kind),
-		Trace:     si.Trace,
-		TraceName: si.TraceName,
-		Mode:      si.Mode,
-		Replayer: replayer.Options{
-			Pacing:                    si.Replayer.Pacing,
-			DisableRelaxation:         si.Replayer.DisableRelaxation,
-			DisableCoordinateFallback: si.Replayer.DisableCoordinateFallback,
-			Driver:                    si.Replayer.Driver,
-		},
+		Kind:                 ParseKind(si.Kind),
+		Trace:                si.Trace,
+		TraceName:            si.TraceName,
+		Mode:                 si.Mode,
+		Replayer:             si.Replayer.Options(),
 		Replicas:             si.Replicas,
 		Parallelism:          si.Parallelism,
 		MaxTraces:            si.MaxTraces,

@@ -3,7 +3,7 @@ package multiuser
 // Race coverage for the shared-env request path. Worlds serialize
 // users onto the virtual clock, so the simulator itself never races —
 // but the shared infrastructure (webapp.Server's session map, the
-// netsim URL parse cache, cow state cells, app state mutexes, the
+// process-wide parse caches, cow state cells, app state mutexes, the
 // coverage readers) must hold up under genuinely concurrent clients
 // too: the jobs engine runs campaigns in parallel and the serve
 // daemon's metrics exporter reads state while jobs run. Run with

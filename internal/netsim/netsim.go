@@ -41,51 +41,11 @@ func (r *Request) parseURL() (*url.URL, error) {
 	if r.parsed != nil && r.parsedFor == r.URL {
 		return r.parsed, nil
 	}
-	u, err := parseURLCached(r.URL)
+	u, err := url.Parse(r.URL)
 	if err != nil {
 		return nil, err
 	}
 	r.parsed, r.parsedFor = u, r.URL
-	return u, nil
-}
-
-// The URL parse cache: the same request URLs recur across every
-// environment of a campaign (start pages, AJAX endpoints, redirect
-// targets), and parsing them anew per request was a top allocator.
-// Cached *url.URL values are shared and must never be mutated — every
-// consumer in this module only reads fields. Two bounded generations,
-// hot entries surviving rotation, as elsewhere.
-const urlCacheGen = 512
-
-var (
-	urlMu   sync.RWMutex
-	urlCur  = make(map[string]*url.URL)
-	urlPrev map[string]*url.URL
-)
-
-func parseURLCached(raw string) (*url.URL, error) {
-	urlMu.RLock()
-	u, hot := urlCur[raw]
-	if !hot {
-		u = urlPrev[raw]
-	}
-	urlMu.RUnlock()
-	if u == nil {
-		var err error
-		if u, err = url.Parse(raw); err != nil {
-			return nil, err
-		}
-	} else if hot {
-		return u, nil
-	}
-	urlMu.Lock()
-	if _, exists := urlCur[raw]; !exists {
-		if len(urlCur) >= urlCacheGen {
-			urlPrev, urlCur = urlCur, make(map[string]*url.URL, urlCacheGen)
-		}
-		urlCur[raw] = u
-	}
-	urlMu.Unlock()
 	return u, nil
 }
 

@@ -28,6 +28,27 @@ type OptionsImage struct {
 	Driver                    webdriver.Options `json:"driver"`
 }
 
+// Image returns the serializable subset of the options; hooks are
+// dropped.
+func (o Options) Image() OptionsImage {
+	return OptionsImage{
+		Pacing:                    o.Pacing,
+		DisableRelaxation:         o.DisableRelaxation,
+		DisableCoordinateFallback: o.DisableCoordinateFallback,
+		Driver:                    o.Driver,
+	}
+}
+
+// Options rebuilds runnable options, with no hooks, from the image.
+func (o OptionsImage) Options() Options {
+	return Options{
+		Pacing:                    o.Pacing,
+		DisableRelaxation:         o.DisableRelaxation,
+		DisableCoordinateFallback: o.DisableCoordinateFallback,
+		Driver:                    o.Driver,
+	}
+}
+
 // StepImage is one serialized Step. Cmd is carried verbatim; Err
 // survives as its message only and is rebuilt as an opaque error.
 type StepImage struct {
@@ -79,14 +100,8 @@ func (s *Session) EncodeImage(tabID func(*browser.Tab) (int, bool), frameID func
 	if err != nil {
 		return nil, err
 	}
-	o := s.replayer.opts
 	img := &Image{
-		Opts: OptionsImage{
-			Pacing:                    o.Pacing,
-			DisableRelaxation:         o.DisableRelaxation,
-			DisableCoordinateFallback: o.DisableCoordinateFallback,
-			Driver:                    o.Driver,
-		},
+		Opts: s.replayer.opts.Image(),
 		Trace: TraceImage{
 			StartURL: s.trace.StartURL,
 			Commands: append([]command.Command(nil), s.trace.Commands...),
@@ -148,13 +163,8 @@ func DecodeImage(img *Image, ctx context.Context, b *browser.Browser, hooks []Ho
 	if img.Next < 0 || img.Next > len(img.Trace.Commands) {
 		return nil, fmt.Errorf("replayer: image next %d outside trace of %d commands", img.Next, len(img.Trace.Commands))
 	}
-	opts := Options{
-		Pacing:                    img.Opts.Pacing,
-		DisableRelaxation:         img.Opts.DisableRelaxation,
-		DisableCoordinateFallback: img.Opts.DisableCoordinateFallback,
-		Driver:                    img.Opts.Driver,
-		Hooks:                     hooks,
-	}
+	opts := img.Opts.Options()
+	opts.Hooks = hooks
 	res := &Result{
 		Played:    img.Result.Played,
 		Failed:    img.Result.Failed,

@@ -15,10 +15,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/command"
+	"github.com/dslab-epfl/warr/internal/gencache"
 	"github.com/dslab-epfl/warr/internal/webdriver"
 	"github.com/dslab-epfl/warr/internal/xpath"
 )
@@ -142,21 +142,7 @@ func New(b *browser.Browser, opts Options) *Replayer {
 // replayers over the same trace. Parse errors are cached too — a trace
 // with an unparseable expression hits the coordinate fallback on every
 // replay.
-//
-// The cache is bounded by two generations of at most compileCacheGen
-// entries each. Inserts go to the current generation; when it fills, the
-// previous generation is dropped and the current one takes its place.
-// A hit in the previous generation re-inserts the entry into the current
-// one, so expressions that stay hot survive rotation — a long campaign
-// crossing the cap evicts only entries cold for a full generation,
-// instead of cold-starting every hot expression at once.
-const compileCacheGen = 4096
-
-var (
-	compileMu   sync.RWMutex
-	compileCur  = make(map[string]compiledEntry)
-	compilePrev map[string]compiledEntry
-)
+var compileCache = gencache.New[compiledEntry](4096)
 
 type compiledEntry struct {
 	c   *xpath.Compiled
@@ -164,49 +150,14 @@ type compiledEntry struct {
 }
 
 func compile(expr string) (*xpath.Compiled, error) {
-	compileMu.RLock()
-	if e, ok := compileCur[expr]; ok {
-		// The common case — a current-generation hit — never takes the
-		// write lock, so concurrent campaign workers don't serialize on
-		// the hot path.
-		compileMu.RUnlock()
-		return e.c, e.err
-	}
-	e, ok := compilePrev[expr]
-	compileMu.RUnlock()
-	if !ok {
-		e = compiledEntry{}
+	e := compileCache.Get(expr, func() (e compiledEntry) {
 		var p xpath.Path
 		if p, e.err = xpath.Parse(expr); e.err == nil {
 			e.c = xpath.Compile(p)
 		}
-	}
-	compileMu.Lock()
-	if _, hot := compileCur[expr]; !hot {
-		if len(compileCur) >= compileCacheGen {
-			compilePrev, compileCur = compileCur, make(map[string]compiledEntry, compileCacheGen)
-		}
-		compileCur[expr] = e
-	}
-	compileMu.Unlock()
+		return e
+	})
 	return e.c, e.err
-}
-
-// compileCacheLen reports the number of cached entries across both
-// generations (an expression promoted from the previous generation may
-// momentarily be counted twice). Test hook.
-func compileCacheLen() int {
-	compileMu.RLock()
-	defer compileMu.RUnlock()
-	return len(compileCur) + len(compilePrev)
-}
-
-// resetCompileCache empties the cache. Test hook.
-func resetCompileCache() {
-	compileMu.Lock()
-	defer compileMu.Unlock()
-	compileCur = make(map[string]compiledEntry)
-	compilePrev = nil
 }
 
 // Replay plays the trace in a fresh tab and returns the per-step outcomes

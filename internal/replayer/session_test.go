@@ -363,51 +363,3 @@ func TestOnResolveSeesResolutionBeforeExecution(t *testing.T) {
 		t.Errorf("failed resolution not visible to OnResolve: %+v", resolved[0])
 	}
 }
-
-func TestCompileCacheTwoGenerationEviction(t *testing.T) {
-	resetCompileCache()
-	t.Cleanup(resetCompileCache)
-
-	hot := `//div[@id="hot"]`
-	if _, err := compile(hot); err != nil {
-		t.Fatal(err)
-	}
-	// Cross the generation cap twice, touching the hot expression
-	// between fills so each rotation finds it recently used.
-	for gen := 0; gen < 2; gen++ {
-		for i := 0; i < compileCacheGen; i++ {
-			compile(fmt.Sprintf(`//span[@id="cold-%d-%d"]`, gen, i))
-		}
-		compile(hot)
-	}
-	if n := compileCacheLen(); n > 2*compileCacheGen {
-		t.Errorf("cache holds %d entries, want <= %d (two generations)", n, 2*compileCacheGen)
-	}
-	compileMu.RLock()
-	_, cur := compileCur[hot]
-	_, prev := compilePrev[hot]
-	compileMu.RUnlock()
-	if !cur && !prev {
-		t.Error("hot expression evicted despite being touched every generation")
-	}
-}
-
-func TestCompileCacheColdEntriesEventuallyEvicted(t *testing.T) {
-	resetCompileCache()
-	t.Cleanup(resetCompileCache)
-
-	cold := `//div[@id="cold-once"]`
-	compile(cold)
-	// Two full generations of fresh expressions with no further touch:
-	// the entry must age out.
-	for i := 0; i < 2*compileCacheGen+1; i++ {
-		compile(fmt.Sprintf(`//span[@id="filler-%d"]`, i))
-	}
-	compileMu.RLock()
-	_, cur := compileCur[cold]
-	_, prev := compilePrev[cold]
-	compileMu.RUnlock()
-	if cur || prev {
-		t.Error("cold entry survived two full generations")
-	}
-}
